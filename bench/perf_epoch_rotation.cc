@@ -1,10 +1,11 @@
 // Epoch rotation throughput (google-benchmark): the service-tier costs a
 // clock-driven rotation pays per epoch, measured in isolation.
 //
-// Encode/Decode cover the FESG segment codec (header + embedded
-// PipelineCodec snapshot + salted checksum trailer) — the CPU side of a
-// seal and a recovery. StoreCommit adds the tmp+fsync+rename commit and
-// keep-last-N compaction, the disk side of a seal. Recover rebuilds a
+// Encode/Decode cover the epoch file codec (a PipelineCodec snapshot of
+// the finalized pipeline plus its kEpoch section; decode rebuilds the
+// queryable pipeline) — the CPU side of a seal and a recovery.
+// StoreCommit adds the tmp+rename commit and keep-last-N compaction, the
+// disk side of a seal. Recover rebuilds a
 // full serving window from a segment directory the way a restarted
 // server does (verify + decode every segment, reconstruct queryable
 // pipelines, union the dedup keys). WindowedAnswer is the steady-state
@@ -67,23 +68,23 @@ std::vector<uint64_t> MakeDedupKeys(size_t count) {
   return keys;
 }
 
-stream::EpochSegment MakeSegment(uint64_t users, uint64_t seq) {
-  const core::FelipPipeline pipeline = MakeEpochPipeline(users, seq - 1);
-  stream::EpochSegment segment;
-  segment.seq = seq;
-  segment.reports = users;
-  segment.epsilon = pipeline.config().epsilon;
-  segment.snapshot =
-      snapshot::PipelineCodec::Encode(pipeline, {}, MakeDedupKeys(1 << 10));
-  return segment;
+// The dedup keys every sealed epoch in these rows carries.
+const std::vector<uint64_t>& EpochKeys() {
+  static const std::vector<uint64_t> keys = MakeDedupKeys(1 << 10);
+  return keys;
+}
+
+std::vector<uint8_t> EncodeEpoch(const core::FelipPipeline& pipeline,
+                                 uint64_t seq) {
+  return snapshot::PipelineCodec::Encode(pipeline, {}, EpochKeys(), seq);
 }
 
 void BM_EpochSegmentEncode(benchmark::State& state) {
   const auto users = static_cast<uint64_t>(state.range(0));
-  const stream::EpochSegment segment = MakeSegment(users, 1);
+  const core::FelipPipeline pipeline = MakeEpochPipeline(users, 0);
   size_t bytes = 0;
   for (auto _ : state) {
-    const std::vector<uint8_t> encoded = stream::EncodeEpochSegment(segment);
+    const std::vector<uint8_t> encoded = EncodeEpoch(pipeline, 1);
     bytes = encoded.size();
     benchmark::DoNotOptimize(encoded.data());
   }
@@ -96,14 +97,14 @@ BENCHMARK(BM_EpochSegmentEncode)
 void BM_EpochSegmentDecode(benchmark::State& state) {
   const auto users = static_cast<uint64_t>(state.range(0));
   const std::vector<uint8_t> encoded =
-      stream::EncodeEpochSegment(MakeSegment(users, 1));
+      EncodeEpoch(MakeEpochPipeline(users, 0), 1);
   for (auto _ : state) {
-    auto decoded = stream::DecodeEpochSegment(encoded);
-    if (!decoded.ok()) {
+    auto decoded = snapshot::PipelineCodec::Decode(encoded);
+    if (!decoded.ok() || decoded->epoch_seq != 1) {
       state.SkipWithError("decode failed");
       return;
     }
-    benchmark::DoNotOptimize(decoded->snapshot.data());
+    benchmark::DoNotOptimize(decoded->dedup_keys.data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(encoded.size()) *
                           state.iterations());
@@ -112,15 +113,13 @@ BENCHMARK(BM_EpochSegmentDecode)
     ->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 void BM_EpochStoreCommit(benchmark::State& state) {
-  const stream::EpochSegment base = MakeSegment(EpochUsers(), 1);
+  const core::FelipPipeline pipeline = MakeEpochPipeline(EpochUsers(), 0);
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "felip_perf_epoch_store";
   std::filesystem::remove_all(dir);
   stream::EpochStore store(dir.string(), kWindowEpochs);
-  stream::EpochSegment segment = base;
   for (auto _ : state) {
-    segment.seq = store.next_seq();
-    const auto path = store.Write(segment);
+    const auto path = store.Write(store.next_seq(), pipeline, EpochKeys());
     if (!path.ok()) {
       state.SkipWithError("store write failed");
       return;
@@ -128,7 +127,7 @@ void BM_EpochStoreCommit(benchmark::State& state) {
     benchmark::DoNotOptimize(path->data());
   }
   state.SetBytesProcessed(
-      static_cast<int64_t>(stream::EncodeEpochSegment(base).size()) *
+      static_cast<int64_t>(EncodeEpoch(pipeline, 1).size()) *
       state.iterations());
   std::filesystem::remove_all(dir);
 }
@@ -142,7 +141,9 @@ void BM_EpochRecover(benchmark::State& state) {
   {
     stream::EpochStore store(dir.string(), window);
     for (uint64_t seq = 1; seq <= window; ++seq) {
-      if (!store.Write(MakeSegment(EpochUsers(), seq)).ok()) {
+      if (!store.Write(seq, MakeEpochPipeline(EpochUsers(), seq - 1),
+                       EpochKeys())
+               .ok()) {
         state.SkipWithError("fixture write failed");
         return;
       }

@@ -8,10 +8,10 @@
 
 #include "felip/common/check.h"
 #include "felip/common/hash.h"
+#include "felip/common/sequenced_dir.h"
 #include "felip/dist/partition.h"
 #include "felip/obs/metrics.h"
 #include "felip/snapshot/pipeline_snapshot.h"
-#include "felip/snapshot/store.h"
 #include "felip/wire/wire.h"
 
 namespace felip::dist {
@@ -34,7 +34,7 @@ StatusOr<uint64_t> BumpShardEpoch(const std::string& dir) {
   const std::string path =
       (std::filesystem::path(dir) / "EPOCH").string();
   uint64_t epoch = 0;
-  StatusOr<std::vector<uint8_t>> bytes = snapshot::ReadFileBytes(path);
+  StatusOr<std::vector<uint8_t>> bytes = ReadFileBytes(path);
   if (bytes.ok()) {
     const char* begin = reinterpret_cast<const char*>(bytes->data());
     const auto [ptr, parse_ec] =
@@ -45,7 +45,7 @@ StatusOr<uint64_t> BumpShardEpoch(const std::string& dir) {
   }
   ++epoch;
   const std::string text = std::to_string(epoch);
-  FELIP_RETURN_IF_ERROR(snapshot::WriteFileAtomic(
+  FELIP_RETURN_IF_ERROR(WriteFileAtomic(
       path, std::vector<uint8_t>(text.begin(), text.end())));
   return epoch;
 }

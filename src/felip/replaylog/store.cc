@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -13,37 +12,21 @@
 #include <thread>
 #include <utility>
 
+#include "felip/common/sequenced_dir.h"
+
 namespace felip::replaylog {
 
 namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kPrefix[] = "reportlog-";
-constexpr char kSealedSuffix[] = ".flog";
-constexpr char kOpenSuffix[] = ".open";
+// reportlog-<seq>.flog is a sealed segment, reportlog-<seq>.open the
+// active one (or a crashed writer's leftover).
+constexpr size_t kSealed = 0;
+constexpr size_t kOpen = 1;
 
-// Sequence number of a segment file name with `suffix`, or 0 when the
-// name does not match reportlog-<seq><suffix>.
-uint64_t SequenceOf(const std::string& name, std::string_view suffix) {
-  const std::string_view prefix(kPrefix);
-  if (name.size() <= prefix.size() + suffix.size()) return 0;
-  if (name.compare(0, prefix.size(), prefix) != 0) return 0;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix.data(),
-                   suffix.size()) != 0) {
-    return 0;
-  }
-  uint64_t seq = 0;
-  for (size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
-
-uint64_t AnySequenceOf(const std::string& name) {
-  const uint64_t sealed = SequenceOf(name, kSealedSuffix);
-  return sealed > 0 ? sealed : SequenceOf(name, kOpenSuffix);
+SequencedDir SegmentFiles(std::string dir) {
+  return SequencedDir(std::move(dir), "reportlog-", {".flog", ".open"});
 }
 
 }  // namespace
@@ -59,7 +42,9 @@ uint64_t AnySequenceOf(const std::string& name) {
 // pushed; Seal additionally waits for a seal epoch to complete. Failures
 // accumulate in `io_failures` and are consumed once per barrier.
 struct LogWriter::Impl {
-  std::string dir;
+  explicit Impl(const std::string& dir) : files(SegmentFiles(dir)) {}
+
+  SequencedDir files;
   std::vector<uint8_t> plan;
   LogWriterOptions options;
 
@@ -198,9 +183,7 @@ struct LogWriter::Impl {
 
   bool OpenSegment() {
     const uint64_t seq = next_seq;
-    const std::string path =
-        (fs::path(dir) / (kPrefix + std::to_string(seq) + kOpenSuffix))
-            .string();
+    const std::string path = files.PathOf(seq, kOpen);
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) return false;
     const std::vector<uint8_t> header = EncodeSegmentHeader(plan);
@@ -293,36 +276,11 @@ struct LogWriter::Impl {
     const bool synced = ::fsync(fileno(pending.file)) == 0;
     std::fclose(pending.file);
     if (!synced) return false;
-    const std::string sealed_path =
-        (fs::path(dir) /
-         (kPrefix + std::to_string(pending.seq) + kSealedSuffix))
-            .string();
     std::error_code ec;
-    fs::rename(pending.open_path, sealed_path, ec);
+    fs::rename(pending.open_path, files.PathOf(pending.seq, kSealed), ec);
     if (ec) return false;
-    Prune();
+    files.Prune(options.keep_segments);
     return true;
-  }
-
-  // Pruning failures are ignored on purpose, exactly like SnapshotStore:
-  // leaking an old segment beats failing the seal that produced a good
-  // new one.
-  void Prune() {
-    if (options.keep_segments == 0) return;
-    std::vector<std::pair<uint64_t, std::string>> sealed;
-    std::error_code ec;
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-      const uint64_t seq =
-          SequenceOf(it->path().filename().string(), kSealedSuffix);
-      if (seq > 0) sealed.emplace_back(seq, it->path().string());
-    }
-    std::sort(sealed.begin(), sealed.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (size_t i = options.keep_segments; i < sealed.size(); ++i) {
-      std::error_code remove_ec;
-      fs::remove(sealed[i].second, remove_ec);
-    }
   }
 
   // ----- barriers (caller side) -----
@@ -340,10 +298,8 @@ struct LogWriter::Impl {
 StatusOr<LogWriter> LogWriter::Open(const std::string& dir,
                                     std::vector<uint8_t> plan,
                                     LogWriterOptions options) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  auto impl = std::make_unique<Impl>();
-  impl->dir = dir;
+  auto impl = std::make_unique<Impl>(dir);
+  impl->files.Create();
   impl->plan = std::move(plan);
   impl->options = options;
   if (impl->options.max_buffered_bytes == 0) {
@@ -351,10 +307,7 @@ StatusOr<LogWriter> LogWriter::Open(const std::string& dir,
   }
   // Resume the sequence past every existing segment — sealed or a crashed
   // writer's leftover .open — so a committed name is never reused.
-  for (const std::string& path : ListSegmentsOldestFirst(dir)) {
-    const uint64_t seq = AnySequenceOf(fs::path(path).filename().string());
-    impl->next_seq = std::max(impl->next_seq, seq + 1);
-  }
+  impl->next_seq = impl->files.ResumeSequence();
   // Eagerly open the first segment on this thread (the writer thread has
   // not started, so the single-owner rule holds) to fail fast on an
   // unwritable directory instead of at the first barrier.
@@ -377,7 +330,7 @@ LogWriter::~LogWriter() {
 LogWriter::LogWriter(LogWriter&& other) noexcept = default;
 LogWriter& LogWriter::operator=(LogWriter&& other) noexcept = default;
 
-const std::string& LogWriter::dir() const { return impl_->dir; }
+const std::string& LogWriter::dir() const { return impl_->files.dir(); }
 
 uint64_t LogWriter::records_appended() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -431,7 +384,8 @@ Status LogWriter::Flush() {
   impl.writer_cv.notify_all();
   impl.done_cv.wait(lock, [&impl, target] { return impl.written >= target; });
   if (!impl.ConsumeFailuresLocked()) {
-    return Status::Unavailable("report log lost records under: " + impl.dir);
+    return Status::Unavailable("report log lost records under: " +
+                               impl.files.dir());
   }
   return Status::Ok();
 }
@@ -444,25 +398,14 @@ Status LogWriter::Seal() {
   impl.done_cv.wait(lock,
                     [&impl, my_epoch] { return impl.seals_done >= my_epoch; });
   if (!impl.ConsumeFailuresLocked()) {
-    return Status::Unavailable("cannot seal log segment under: " + impl.dir);
+    return Status::Unavailable("cannot seal log segment under: " +
+                               impl.files.dir());
   }
   return Status::Ok();
 }
 
 std::vector<std::string> ListSegmentsOldestFirst(const std::string& dir) {
-  std::vector<std::pair<uint64_t, std::string>> found;
-  std::error_code ec;
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    const uint64_t seq = AnySequenceOf(it->path().filename().string());
-    if (seq > 0) found.emplace_back(seq, it->path().string());
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (auto& [seq, path] : found) paths.push_back(std::move(path));
-  return paths;
+  return SegmentFiles(dir).Paths();
 }
 
 }  // namespace felip::replaylog

@@ -1,12 +1,14 @@
 // On-disk report log store: segment files, rotation, crash discipline.
 //
 // A LogWriter owns one directory of segment files with a monotonically
-// increasing sequence number (resumed past existing files on open, like
-// SnapshotStore). The active segment is reportlog-<seq>.open; sealing
-// (size rotation, Seal(), destruction) does fflush + fsync + rename to
-// reportlog-<seq>.flog: a .flog name is a complete, fully-durable
-// segment even across a machine crash, mirroring SnapshotStore's
-// tmp+fsync+rename contract.
+// increasing sequence number, named, listed, resumed past on open and
+// pruned by the shared sequenced-file discipline
+// (felip/common/sequenced_dir.h). The active segment is
+// reportlog-<seq>.open; sealing (size rotation, Seal(), destruction) does
+// fflush + fsync + rename to reportlog-<seq>.flog: a .flog name is a
+// complete segment whose bytes were fsynced before the rename. The
+// directory is not fsynced, so after a machine crash a just-sealed
+// segment may reappear under its .open name, which readers also take.
 //
 // Append is called inside the ingest drain critical section, where every
 // microsecond is tail latency, so it does no file I/O at all: it encodes
@@ -18,7 +20,7 @@
 //
 //   Flush() — every record appended so far is in the OS page cache
 //             (survives process death, not a machine crash);
-//   Seal()  — every record appended so far is in a fully-durable .flog.
+//   Seal()  — every record appended so far is in a sealed, fsynced .flog.
 //
 // The one ordering rule this imposes on callers: cut no checkpoint that
 // claims a batch until Flush() has covered that batch's record, or a
@@ -97,10 +99,10 @@ class LogWriter {
 
   // Barrier: seals the active segment and waits for every pending
   // background seal to finish. After Seal() returns Ok, all appended
-  // records live under fully-durable .flog names. Idempotent; the next
-  // Append opens a new segment. A segment that never saw an Append is
-  // discarded instead of sealed empty. Reports any I/O failure since the
-  // last barrier.
+  // records live in fsynced segments under .flog names. Idempotent; the
+  // next Append opens a new segment. A segment that never saw an Append
+  // is discarded instead of sealed empty. Reports any I/O failure since
+  // the last barrier.
   Status Seal();
 
   const std::string& dir() const;

@@ -44,6 +44,7 @@ enum class SectionId : uint8_t {
   kGridFrequencies = 5,   // post-processed estimates (finalized)
   kResponseMatrices = 6,  // optional: converged response-matrix blocks
   kDedup = 7,             // ingest dedup trailer keys, oldest first
+  kEpoch = 8,             // sealed epoch sequence (epoch files only)
 };
 
 // Builds a snapshot byte stream section by section. Sections are written

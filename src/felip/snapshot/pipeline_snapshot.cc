@@ -7,11 +7,11 @@
 #include <utility>
 
 #include "felip/common/check.h"
+#include "felip/common/sequenced_dir.h"
 #include "felip/fo/registry.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
 #include "felip/snapshot/format.h"
-#include "felip/snapshot/store.h"
 #include "felip/wire/framing.h"
 
 namespace felip::snapshot {
@@ -75,7 +75,7 @@ Status DecodeConfigSection(const std::vector<uint8_t>& payload,
   if (!r.Get(num_users) || !r.Get(&strategy) || !r.Get(&partitioning) ||
       !r.Get(&config->epsilon) || !r.Get(&config->alpha1) ||
       !r.Get(&config->alpha2) || !r.Get(&config->default_selectivity) ||
-      !r.Get(&selectivities)) {
+      !r.GetCount(&selectivities, sizeof(double))) {
     return Malformed("snapshot config section is truncated");
   }
   if (strategy > 1 || partitioning > 1) {
@@ -83,9 +83,6 @@ Status DecodeConfigSection(const std::vector<uint8_t>& payload,
   }
   config->strategy = static_cast<core::Strategy>(strategy);
   config->partitioning = static_cast<core::PartitioningMode>(partitioning);
-  if (selectivities > r.remaining() / sizeof(double)) {
-    return Malformed("snapshot config selectivity list overruns the section");
-  }
   config->attribute_selectivity.resize(selectivities);
   for (double& s : config->attribute_selectivity) {
     if (!r.Get(&s)) return Malformed("snapshot config section is truncated");
@@ -159,14 +156,18 @@ std::vector<uint8_t> EncodeSchemaSection(
 Status DecodeSchemaSection(const std::vector<uint8_t>& payload,
                            std::vector<AttributeInfo>* schema) {
   Reader r(payload);
+  // Per attribute: name length u32, domain u32, categorical u8.
+  constexpr size_t kMinAttributeBytes = 4 + 4 + 1;
   uint32_t count = 0;
-  if (!r.Get(&count)) return Malformed("snapshot schema section is truncated");
+  if (!r.GetCount(&count, kMinAttributeBytes)) {
+    return Malformed("snapshot schema section is truncated");
+  }
   if (count == 0) return Malformed("snapshot schema has no attributes");
   schema->clear();
   schema->reserve(count);
   for (uint32_t a = 0; a < count; ++a) {
     uint32_t name_len = 0;
-    if (!r.Get(&name_len) || name_len > r.remaining()) {
+    if (!r.GetCount(&name_len, 1)) {
       return Malformed("snapshot schema section is truncated");
     }
     AttributeInfo attr;
@@ -247,8 +248,10 @@ std::vector<uint8_t> EncodeOracles(
 Status DecodeOracles(const std::vector<uint8_t>& payload,
                      std::vector<fo::OracleState>* states) {
   Reader r(payload);
+  // Per oracle: protocol u8, then num_reports and three lengths, u64 each.
+  constexpr size_t kMinOracleBytes = 1 + 4 * 8;
   uint32_t count = 0;
-  if (!r.Get(&count)) {
+  if (!r.GetCount(&count, kMinOracleBytes)) {
     return Malformed("snapshot oracle section is truncated");
   }
   states->clear();
@@ -258,22 +261,19 @@ Status DecodeOracles(const std::vector<uint8_t>& payload,
     uint8_t protocol = 0;
     uint64_t counts_len = 0;
     if (!r.Get(&protocol) || !r.Get(&state.num_reports) ||
-        !r.Get(&counts_len)) {
+        !r.GetCount(&counts_len, sizeof(uint64_t))) {
       return Malformed("snapshot oracle section is truncated");
     }
     if (!fo::KnownProtocolByte(protocol)) {
       return Malformed("snapshot oracle carries an unknown protocol");
     }
     state.protocol = static_cast<fo::Protocol>(protocol);
-    if (counts_len > r.remaining() / sizeof(uint64_t)) {
-      return Malformed("snapshot oracle counts overrun the section");
-    }
     state.counts.resize(counts_len);
     for (uint64_t& c : state.counts) {
       if (!r.Get(&c)) return Malformed("snapshot oracle section is truncated");
     }
     uint64_t pool_len = 0;
-    if (!r.Get(&pool_len) || pool_len > r.remaining() / sizeof(uint32_t)) {
+    if (!r.GetCount(&pool_len, sizeof(uint32_t))) {
       return Malformed("snapshot oracle pool overruns the section");
     }
     state.pool_counts.resize(pool_len);
@@ -282,8 +282,7 @@ Status DecodeOracles(const std::vector<uint8_t>& payload,
     }
     uint64_t reports_len = 0;
     constexpr size_t kOlhReportBytes = 8 + 4 + 4;
-    if (!r.Get(&reports_len) ||
-        reports_len > r.remaining() / kOlhReportBytes) {
+    if (!r.GetCount(&reports_len, kOlhReportBytes)) {
       return Malformed("snapshot oracle reports overrun the section");
     }
     state.reports.resize(reports_len);
@@ -319,14 +318,14 @@ Status DecodeGridFrequencies(const std::vector<uint8_t>& payload,
                              std::vector<std::vector<double>>* frequencies) {
   Reader r(payload);
   uint32_t count = 0;
-  if (!r.Get(&count)) {
+  if (!r.GetCount(&count, sizeof(uint64_t))) {
     return Malformed("snapshot frequency section is truncated");
   }
   frequencies->clear();
   frequencies->reserve(count);
   for (uint32_t g = 0; g < count; ++g) {
     uint64_t len = 0;
-    if (!r.Get(&len) || len > r.remaining() / sizeof(double)) {
+    if (!r.GetCount(&len, sizeof(double))) {
       return Malformed("snapshot frequency grid overruns the section");
     }
     std::vector<double> grid(len);
@@ -370,8 +369,10 @@ std::vector<uint8_t> EncodeResponseMatrices(
 Status DecodeResponseMatrices(const std::vector<uint8_t>& payload,
                               std::vector<post::ResponseMatrix>* matrices) {
   Reader r(payload);
+  // Per matrix: two domains u32, then three lengths u64.
+  constexpr size_t kMinMatrixBytes = 2 * 4 + 3 * 8;
   uint32_t count = 0;
-  if (!r.Get(&count)) {
+  if (!r.GetCount(&count, kMinMatrixBytes)) {
     return Malformed("snapshot response-matrix section is truncated");
   }
   matrices->clear();
@@ -380,7 +381,7 @@ Status DecodeResponseMatrices(const std::vector<uint8_t>& payload,
     post::ResponseMatrix::Blocks blocks;
     uint64_t len = 0;
     if (!r.Get(&blocks.domain_x) || !r.Get(&blocks.domain_y) ||
-        !r.Get(&len) || len > r.remaining() / sizeof(uint32_t)) {
+        !r.GetCount(&len, sizeof(uint32_t))) {
       return Malformed("snapshot response-matrix section is truncated");
     }
     blocks.bx.resize(len);
@@ -389,7 +390,7 @@ Status DecodeResponseMatrices(const std::vector<uint8_t>& payload,
         return Malformed("snapshot response-matrix section is truncated");
       }
     }
-    if (!r.Get(&len) || len > r.remaining() / sizeof(uint32_t)) {
+    if (!r.GetCount(&len, sizeof(uint32_t))) {
       return Malformed("snapshot response-matrix section is truncated");
     }
     blocks.by.resize(len);
@@ -398,7 +399,7 @@ Status DecodeResponseMatrices(const std::vector<uint8_t>& payload,
         return Malformed("snapshot response-matrix section is truncated");
       }
     }
-    if (!r.Get(&len) || len > r.remaining() / sizeof(double)) {
+    if (!r.GetCount(&len, sizeof(double))) {
       return Malformed("snapshot response-matrix section is truncated");
     }
     blocks.mass.resize(len);
@@ -433,7 +434,7 @@ Status DecodeDedup(const std::vector<uint8_t>& payload,
                    std::vector<uint64_t>* keys) {
   Reader r(payload);
   uint64_t count = 0;
-  if (!r.Get(&count) || count > r.remaining() / sizeof(uint64_t)) {
+  if (!r.GetCount(&count, sizeof(uint64_t))) {
     return Malformed("snapshot dedup section is truncated");
   }
   keys->resize(count);
@@ -443,6 +444,23 @@ Status DecodeDedup(const std::vector<uint8_t>& payload,
   if (r.remaining() != 0) {
     return Malformed("snapshot dedup section has trailing bytes");
   }
+  return Status::Ok();
+}
+
+// --- kEpoch ---
+
+std::vector<uint8_t> EncodeEpoch(uint64_t seq) {
+  std::vector<uint8_t> payload;
+  Writer(&payload).Put<uint64_t>(seq);
+  return payload;
+}
+
+Status DecodeEpoch(const std::vector<uint8_t>& payload, uint64_t* seq) {
+  Reader r(payload);
+  if (!r.Get(seq) || r.remaining() != 0) {
+    return Malformed("snapshot epoch section is malformed");
+  }
+  if (*seq == 0) return Malformed("snapshot epoch sequence must be >= 1");
   return Status::Ok();
 }
 
@@ -468,7 +486,7 @@ Status PipelineCodec::DecodeOracleSection(
 
 std::vector<uint8_t> PipelineCodec::Encode(
     const FelipPipeline& pipeline, const core::SnapshotOptions& options,
-    std::span<const uint64_t> dedup_keys) {
+    std::span<const uint64_t> dedup_keys, uint64_t epoch_seq) {
   SnapshotWriter writer(static_cast<uint8_t>(pipeline.state_));
   writer.AppendSection(
       SectionId::kConfig,
@@ -498,6 +516,9 @@ std::vector<uint8_t> PipelineCodec::Encode(
       break;
   }
   writer.AppendSection(SectionId::kDedup, EncodeDedup(dedup_keys));
+  if (epoch_seq != 0) {
+    writer.AppendSection(SectionId::kEpoch, EncodeEpoch(epoch_seq));
+  }
   return std::move(writer).Finish();
 }
 
@@ -532,6 +553,11 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
   if (const std::vector<uint8_t>* dedup =
           reader.FindSection(SectionId::kDedup)) {
     FELIP_RETURN_IF_ERROR(DecodeDedup(*dedup, &dedup_keys));
+  }
+  uint64_t epoch_seq = 0;
+  if (const std::vector<uint8_t>* epoch =
+          reader.FindSection(SectionId::kEpoch)) {
+    FELIP_RETURN_IF_ERROR(DecodeEpoch(*epoch, &epoch_seq));
   }
 
   // Grid planning is deterministic in (schema, num_users, config), so the
@@ -641,7 +667,8 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
     }
   }
 
-  return RecoveredPipeline{std::move(pipeline), std::move(dedup_keys)};
+  return RecoveredPipeline{std::move(pipeline), std::move(dedup_keys),
+                           epoch_seq};
 }
 
 }  // namespace felip::snapshot
@@ -657,7 +684,7 @@ Status FelipPipeline::SaveSnapshot(const std::string& path,
   const auto start = std::chrono::steady_clock::now();
   const std::vector<uint8_t> bytes =
       snapshot::PipelineCodec::Encode(*this, options, {});
-  FELIP_RETURN_IF_ERROR(snapshot::WriteFileAtomic(path, bytes));
+  FELIP_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   obs::Registry::Default()
@@ -671,7 +698,7 @@ Status FelipPipeline::SaveSnapshot(const std::string& path,
 
 StatusOr<FelipPipeline> FelipPipeline::LoadSnapshot(const std::string& path) {
   FELIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                         snapshot::ReadFileBytes(path));
+                         ReadFileBytes(path));
   FELIP_ASSIGN_OR_RETURN(snapshot::RecoveredPipeline recovered,
                          snapshot::PipelineCodec::Decode(bytes));
   return std::move(recovered.pipeline);

@@ -20,6 +20,8 @@
 //     skipping the IPF fit on warm restart.
 //   * kDedup — the ingest service's drained trailer keys, oldest first, so
 //     a restarted server recognizes resent batches it already counted.
+//   * kEpoch (epoch files only) — the sealed epoch's sequence number; see
+//     felip/stream/epoch_store.h.
 //
 // Decode validates everything semantically (shape against the replanned
 // layout, oracle state via FrequencyOracle::RestoreState) and returns
@@ -43,6 +45,7 @@ namespace felip::snapshot {
 struct RecoveredPipeline {
   core::FelipPipeline pipeline;
   std::vector<uint64_t> dedup_keys;
+  uint64_t epoch_seq = 0;  // kEpoch section; 0 when absent
 };
 
 // --- Shared section codecs ---
@@ -67,12 +70,13 @@ Status DecodeSchemaSection(const std::vector<uint8_t>& payload,
 
 class PipelineCodec {
  public:
-  // Serializes `pipeline` (any state) and `dedup_keys` to snapshot bytes.
-  // Never fails: encoding reads only in-memory state the pipeline already
-  // validated.
+  // Serializes `pipeline` (any state) and `dedup_keys` to snapshot bytes,
+  // plus a kEpoch section when `epoch_seq` is nonzero. Never fails:
+  // encoding reads only in-memory state the pipeline already validated.
   static std::vector<uint8_t> Encode(const core::FelipPipeline& pipeline,
                                      const core::SnapshotOptions& options,
-                                     std::span<const uint64_t> dedup_keys);
+                                     std::span<const uint64_t> dedup_keys,
+                                     uint64_t epoch_seq = 0);
 
   // Verifies and decodes `bytes` into a pipeline in the captured state.
   static StatusOr<RecoveredPipeline> Decode(

@@ -1,12 +1,11 @@
 // On-disk snapshot store: atomic commits and keep-last-N rotation.
 //
 // A SnapshotStore owns one directory of snapshot files named
-// snapshot-<seq>.felip with a monotonically increasing sequence number.
-// Write() lands bytes via tmp-file + fsync + atomic rename, so a crash at
-// any instant leaves either the previous set of snapshots or the previous
-// set plus one complete new file — never a torn file under a final name.
-// After each successful commit the oldest files beyond keep_last_n are
-// deleted, newest first wins.
+// snapshot-<seq>.felip, kept by the shared sequenced-file discipline
+// (felip/common/sequenced_dir.h, which also states what a commit
+// survives): atomic tmp + rename commits, a sequence resumed past
+// existing files, and the newest keep_last_n files kept after each
+// commit.
 //
 // Reading is recovery-oriented: ListNewestFirst() enumerates candidates,
 // and callers walk them newest to oldest until one verifies (see
@@ -20,19 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "felip/common/sequenced_dir.h"
 #include "felip/common/status.h"
 
 namespace felip::snapshot {
-
-// Reads an entire file. kNotFound when it cannot be opened, kUnavailable
-// on a read error.
-StatusOr<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
-
-// Writes `bytes` to `path` atomically: a sibling tmp file is written,
-// flushed to disk, and renamed over `path`. kUnavailable on any I/O
-// failure (the tmp file is cleaned up).
-Status WriteFileAtomic(const std::string& path,
-                       const std::vector<uint8_t>& bytes);
 
 class SnapshotStore {
  public:
@@ -47,12 +37,12 @@ class SnapshotStore {
   // Absolute-ordered snapshot paths, newest (highest sequence) first.
   std::vector<std::string> ListNewestFirst() const;
 
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return files_.dir(); }
 
  private:
-  std::string dir_;
+  SequencedDir files_;
   size_t keep_last_n_;
-  uint64_t next_seq_ = 1;  // advanced past existing files at construction
+  uint64_t next_seq_;
 };
 
 }  // namespace felip::snapshot

@@ -6,7 +6,6 @@
 #include "felip/common/check.h"
 #include "felip/obs/metrics.h"
 #include "felip/obs/trace.h"
-#include "felip/snapshot/pipeline_snapshot.h"
 #include "felip/stream/streaming.h"
 
 namespace felip::stream {
@@ -49,6 +48,17 @@ bool SameSchema(const std::vector<data::AttributeInfo>& a,
     }
   }
   return true;
+}
+
+// The served form of a finalized pipeline sealed as epoch `seq`.
+SealedEpoch Sealed(uint64_t seq,
+                   std::shared_ptr<const core::FelipPipeline> pipeline) {
+  SealedEpoch epoch;
+  epoch.seq = seq;
+  epoch.reports = pipeline->reports_ingested();
+  epoch.epsilon = pipeline->config().epsilon;
+  epoch.pipeline = std::move(pipeline);
+  return epoch;
 }
 
 }  // namespace
@@ -165,26 +175,15 @@ EpochRotationService::RecoveredEpochs EpochRotationService::RecoverSegments() {
   EpochCounters& counters = EpochCounters::Get();
   RecoveredEpochs recovered;
   LoadedEpochs loaded = store_->LoadAll();
+  recovered.segments_loaded = loaded.epochs.size();
   recovered.segments_skipped = loaded.files_skipped;
-  for (EpochSegment& segment : loaded.segments) {
-    StatusOr<snapshot::RecoveredPipeline> state =
-        snapshot::PipelineCodec::Decode(segment.snapshot);
-    if (!state.ok() ||
-        state->pipeline.state() != core::PipelineState::kQueryable) {
-      ++recovered.segments_skipped;
-      continue;
-    }
+  for (snapshot::RecoveredPipeline& state : loaded.epochs) {
     recovered.dedup_keys.insert(recovered.dedup_keys.end(),
-                                state->dedup_keys.begin(),
-                                state->dedup_keys.end());
-    SealedEpoch epoch;
-    epoch.seq = segment.seq;
-    epoch.reports = segment.reports;
-    epoch.epsilon = segment.epsilon;
-    epoch.pipeline = std::make_shared<core::FelipPipeline>(
-        std::move(state->pipeline));
-    epochs_->Append(std::move(epoch));
-    ++recovered.segments_loaded;
+                                state.dedup_keys.begin(),
+                                state.dedup_keys.end());
+    epochs_->Append(Sealed(state.epoch_seq,
+                           std::make_shared<core::FelipPipeline>(
+                               std::move(state.pipeline))));
   }
   counters.recovered.Increment(recovered.segments_loaded);
   counters.skipped.Increment(recovered.segments_skipped);
@@ -210,27 +209,18 @@ StatusOr<std::string> EpochRotationService::SealEpoch(
                   "SealEpoch needs a collecting, sealed, or finalized "
                   "pipeline");
 
-  EpochSegment segment;
-  segment.seq = std::max(store_->next_seq(), epochs_->newest_seq() + 1);
-  segment.reports = pipeline->reports_ingested();
-  segment.epsilon = pipeline->config().epsilon;
-  segment.snapshot =
-      snapshot::PipelineCodec::Encode(*pipeline, options_, drained_keys);
-
-  SealedEpoch epoch;
-  epoch.seq = segment.seq;
-  epoch.reports = segment.reports;
-  epoch.epsilon = segment.epsilon;
-  epoch.pipeline = std::move(pipeline);
-
-  StatusOr<std::string> path = store_->Write(segment);
+  const uint64_t seq =
+      std::max(store_->next_seq(), epochs_->newest_seq() + 1);
+  const uint64_t reports = pipeline->reports_ingested();
+  StatusOr<std::string> path =
+      store_->Write(seq, *pipeline, drained_keys, options_);
   // Serve the epoch either way: a failed commit degrades what a restart
   // can recover, not what live queries see (and the counter is the
   // operator's durability signal, mirroring checkpoint failures).
-  epochs_->Append(std::move(epoch));
+  epochs_->Append(Sealed(seq, std::move(pipeline)));
   ++epochs_sealed_;
   counters.seals.Increment();
-  counters.reports.Increment(segment.reports);
+  counters.reports.Increment(reports);
   counters.window_epsilon.Set(epochs_->WindowBudget().sum_epsilon);
   if (!path.ok()) {
     ++seal_failures_;

@@ -49,8 +49,8 @@
 
 namespace felip::stream {
 
-// One sealed epoch held in memory: the decoded segment header plus its
-// queryable pipeline. The pipeline is shared because an answer in flight
+// One sealed epoch held in memory: its sequence, report count and budget
+// plus its queryable pipeline. The pipeline is shared because an answer in flight
 // on the IO thread may still be reading an epoch the rotation path is
 // evicting from the window.
 struct SealedEpoch {
@@ -129,8 +129,8 @@ class EpochRotationService {
   // What RecoverSegments could reconstruct from the store's directory.
   struct RecoveredEpochs {
     size_t segments_loaded = 0;
-    // Damaged files plus segments whose embedded snapshot fails to decode
-    // or is not queryable: one bad epoch costs that epoch, never recovery.
+    // Files LoadAll could not use (damaged, or not a sealed epoch): one
+    // bad epoch costs that epoch, never recovery.
     size_t segments_skipped = 0;
     // Union of every recovered segment's drained batch keys, oldest
     // segment first — preseed the ingest server's dedup windows with

@@ -61,8 +61,22 @@ class Reader {
 
   bool GetBytes(uint8_t* data, size_t len) {
     if (pos_ + len > in_.size()) return false;
-    std::memcpy(data, in_.data() + pos_, len);
+    // An empty destination may be null, which memcpy must never see.
+    if (len > 0) std::memcpy(data, in_.data() + pos_, len);
     pos_ += len;
+    return true;
+  }
+
+  // Reads an element count and rejects it (returning false, `count`
+  // untouched) when the remaining bytes cannot hold that many elements of
+  // at least `min_element_bytes` each. Decoders size containers from the
+  // count, so a corrupt count can never force an allocation larger than
+  // the input justifies.
+  template <typename T>
+  bool GetCount(T* count, size_t min_element_bytes) {
+    T value = 0;
+    if (!Get(&value) || value > remaining() / min_element_bytes) return false;
+    *count = value;
     return true;
   }
 

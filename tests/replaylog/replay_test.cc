@@ -21,13 +21,13 @@
 
 #include <gtest/gtest.h>
 
+#include "felip/common/sequenced_dir.h"
 #include "felip/core/felip.h"
 #include "felip/data/synthetic.h"
 #include "felip/post/norm_sub.h"
 #include "felip/replaylog/format.h"
 #include "felip/replaylog/store.h"
 #include "felip/simd/dispatch.h"
-#include "felip/snapshot/store.h"
 #include "felip/svc/client.h"
 #include "felip/svc/fault_injection.h"
 #include "felip/svc/loopback.h"
@@ -207,7 +207,7 @@ LoggedRound* ReplayE2eTest::round_ = nullptr;
 // Reads every record of a segment file (expects no damage).
 std::vector<LogRecord> ReadSegment(const std::string& path,
                                    std::vector<uint8_t>* plan) {
-  StatusOr<std::vector<uint8_t>> bytes = snapshot::ReadFileBytes(path);
+  StatusOr<std::vector<uint8_t>> bytes = ReadFileBytes(path);
   EXPECT_TRUE(bytes.ok());
   StatusOr<SegmentParser> parser = SegmentParser::Open(*std::move(bytes));
   EXPECT_TRUE(parser.ok()) << parser.status().ToString();
@@ -292,7 +292,7 @@ TEST_F(ReplayE2eTest, TornTailReplaysEverythingBeforeTheTear) {
   ASSERT_FALSE(segments.empty());
   const std::string& last = segments.back();
   const StatusOr<std::vector<uint8_t>> bytes =
-      snapshot::ReadFileBytes(last);
+      ReadFileBytes(last);
   ASSERT_TRUE(bytes.ok());
   // Cut into the final record: mid-append crash shape.
   ASSERT_GT(bytes->size(), 5u);

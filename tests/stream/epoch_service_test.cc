@@ -128,12 +128,13 @@ TEST_F(EpochServiceTest, SealAppendsServesAndPersists) {
   ASSERT_EQ(epochs.schema().size(), 2u);
   EXPECT_EQ(epochs.schema()[0].domain, 32u);
 
-  // The segment on disk carries the header the set serves from.
+  // The epoch file on disk carries what the set serves from.
   const LoadedEpochs loaded = store.LoadAll();
-  ASSERT_EQ(loaded.segments.size(), 1u);
-  EXPECT_EQ(loaded.segments[0].seq, 1u);
-  EXPECT_EQ(loaded.segments[0].reports, 4000u);
-  EXPECT_EQ(loaded.segments[0].epsilon, 2.0);
+  ASSERT_EQ(loaded.epochs.size(), 1u);
+  EXPECT_EQ(loaded.epochs[0].epoch_seq, 1u);
+  EXPECT_EQ(loaded.epochs[0].pipeline.reports_ingested(), 4000u);
+  EXPECT_EQ(loaded.epochs[0].pipeline.config().epsilon, 2.0);
+  EXPECT_EQ(loaded.epochs[0].dedup_keys, keys);
 }
 
 // The tentpole's acceptance arithmetic: answers served from the sealed
@@ -283,7 +284,7 @@ TEST_F(EpochServiceTest, RecoverySkipsDamagedSegmentsAndKeepsTheRest) {
     }
   }
   {
-    std::ofstream out(fs::path(dir()) / "epoch-2.fesg",
+    std::ofstream out(fs::path(dir()) / "epoch-2.felip",
                       std::ios::binary | std::ios::trunc);
     out << "damaged";
   }

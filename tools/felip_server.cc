@@ -174,28 +174,19 @@ int ServeQueries(svc::TcpTransport* transport, const std::string& host,
 int InspectEpochs(const std::string& epoch_dir, uint64_t epoch_keep) {
   stream::EpochStore store(epoch_dir, static_cast<size_t>(epoch_keep));
   const stream::LoadedEpochs loaded = store.LoadAll();
-  for (const stream::EpochSegment& segment : loaded.segments) {
-    const StatusOr<snapshot::RecoveredPipeline> state =
-        snapshot::PipelineCodec::Decode(segment.snapshot);
-    if (!state.ok() ||
-        state->pipeline.state() != core::PipelineState::kQueryable) {
-      std::printf("epoch %llu UNUSABLE (%s)\n",
-                  static_cast<unsigned long long>(segment.seq),
-                  state.ok() ? "snapshot is not queryable"
-                             : state.status().ToString().c_str());
-      continue;
-    }
+  for (const snapshot::RecoveredPipeline& epoch : loaded.epochs) {
     std::printf("epoch %llu sealed: reports=%llu epsilon=%.17g "
                 "xxh64=%016llx dedup_keys=%zu\n",
-                static_cast<unsigned long long>(segment.seq),
-                static_cast<unsigned long long>(segment.reports),
-                segment.epsilon,
+                static_cast<unsigned long long>(epoch.epoch_seq),
                 static_cast<unsigned long long>(
-                    core::GridFrequencyDigest(state->pipeline)),
-                state->dedup_keys.size());
+                    epoch.pipeline.reports_ingested()),
+                epoch.pipeline.config().epsilon,
+                static_cast<unsigned long long>(
+                    core::GridFrequencyDigest(epoch.pipeline)),
+                epoch.dedup_keys.size());
   }
   std::printf("segments=%zu skipped=%zu next_seq=%llu\n",
-              loaded.segments.size(), loaded.files_skipped,
+              loaded.epochs.size(), loaded.files_skipped,
               static_cast<unsigned long long>(store.next_seq()));
   return loaded.files_skipped == 0 ? 0 : 1;
 }
