@@ -9,10 +9,10 @@
 #include <string>
 
 #include "felip/common/rng.h"
+#include "felip/common/status.h"
 #include "felip/core/felip.h"
 #include "felip/data/csv_loader.h"
 #include "felip/query/query.h"
-#include "felip/wire/wire.h"
 
 namespace {
 
@@ -63,21 +63,24 @@ int main() {
   const core::FelipPipeline pipeline = core::RunFelip(loaded->dataset,
                                                       config);
 
-  // 3. Persist the aggregator state.
+  // 3. Persist the aggregator state: config, schema and the estimated
+  //    grid frequencies, committed atomically (tmp file + rename).
   const std::string snapshot_path = "/tmp/felip_demo.snapshot";
-  if (!wire::SaveSnapshot(pipeline, loaded->dataset.attributes(),
-                          loaded->dataset.num_rows(), config,
-                          snapshot_path)
-           .ok()) {
-    std::fprintf(stderr, "snapshot save failed\n");
+  const Status saved = pipeline.SaveSnapshot(snapshot_path);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "snapshot save failed: %s\n",
+                 saved.ToString().c_str());
     return 1;
   }
 
   // 4. Later (or elsewhere): reload and answer. The raw reports and the
-  //    dataset are no longer needed.
-  const auto restored = wire::LoadSnapshot(snapshot_path);
-  if (!restored.has_value()) {
-    std::fprintf(stderr, "snapshot load failed\n");
+  //    dataset are no longer needed; the response matrices are rebuilt
+  //    on load, so answers match the original pipeline bit for bit.
+  const StatusOr<core::FelipPipeline> restored =
+      core::FelipPipeline::LoadSnapshot(snapshot_path);
+  if (!restored.ok()) {
+    std::fprintf(stderr, "snapshot load failed: %s\n",
+                 restored.status().ToString().c_str());
     return 1;
   }
   // "grade in {B, C} AND int_rate in the top half".
@@ -85,12 +88,18 @@ int main() {
       {.attr = 0, .op = query::Op::kIn, .values = {1, 2}},
       {.attr = 2, .op = query::Op::kBetween, .lo = 32, .hi = 63},
   });
-  std::printf("snapshot answer:  %.4f\n", restored->AnswerQuery(q));
-  std::printf("original answer:  %.4f\n", pipeline.AnswerQuery(q));
+  const double from_snapshot = restored->AnswerQuery(q);
+  const double original = pipeline.AnswerQuery(q);
+  std::printf("snapshot answer:  %.4f\n", from_snapshot);
+  std::printf("original answer:  %.4f\n", original);
   std::printf("exact answer:     %.4f\n",
               query::TrueAnswer(loaded->dataset, q));
 
   std::remove(csv_path.c_str());
   std::remove(snapshot_path.c_str());
+  if (from_snapshot != original) {
+    std::fprintf(stderr, "snapshot answer differs from the original\n");
+    return 1;
+  }
   return 0;
 }

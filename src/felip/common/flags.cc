@@ -95,4 +95,17 @@ std::vector<std::string> FlagParser::UnconsumedFlags() const {
   return unread;
 }
 
+std::vector<std::string> SplitCommaList(const std::string& list) {
+  std::vector<std::string> items;
+  size_t begin = 0;
+  while (begin <= list.size()) {
+    const size_t comma = list.find(',', begin);
+    const size_t end = comma == std::string::npos ? list.size() : comma;
+    if (end > begin) items.push_back(list.substr(begin, end - begin));
+    if (comma == std::string::npos) break;
+    begin = comma + 1;
+  }
+  return items;
+}
+
 }  // namespace felip

@@ -49,6 +49,10 @@ class FlagParser {
   std::vector<std::string> positional_;
 };
 
+// Splits a comma-separated flag value ("a,b,c") into its non-empty items,
+// in order: empty segments and leading or trailing commas are dropped.
+std::vector<std::string> SplitCommaList(const std::string& list);
+
 }  // namespace felip
 
 #endif  // FELIP_COMMON_FLAGS_H_

@@ -202,29 +202,37 @@ FelipPipeline FelipPipeline::FromEstimatedGrids(
     std::vector<data::AttributeInfo> schema, uint64_t num_users,
     FelipConfig config, std::vector<std::vector<double>> grid_frequencies) {
   FelipPipeline pipeline(std::move(schema), num_users, std::move(config));
-  FELIP_CHECK_MSG(grid_frequencies.size() == pipeline.assignments_.size(),
-                  "snapshot grid count does not match the planned layout");
-  const size_t n1 = pipeline.grids_1d_.size();
+  pipeline.SetGridFrequencies(std::move(grid_frequencies));
+  pipeline.BuildResponseMatrices();
+  return pipeline;
+}
+
+void FelipPipeline::SetGridFrequencies(
+    std::vector<std::vector<double>> grid_frequencies) {
+  FELIP_CHECK_MSG(grid_frequencies.size() == assignments_.size(),
+                  "grid count does not match the planned layout");
+  const size_t n1 = grids_1d_.size();
   for (size_t g = 0; g < grid_frequencies.size(); ++g) {
     if (g < n1) {
-      pipeline.grids_1d_[g].SetFrequencies(std::move(grid_frequencies[g]));
+      grids_1d_[g].SetFrequencies(std::move(grid_frequencies[g]));
     } else {
-      pipeline.grids_2d_[g - n1].SetFrequencies(
-          std::move(grid_frequencies[g]));
+      grids_2d_[g - n1].SetFrequencies(std::move(grid_frequencies[g]));
     }
   }
-  // Response matrices are derived state: rebuild rather than persist.
-  pipeline.response_matrices_.assign(pipeline.grids_2d_.size(),
-                                     post::ResponseMatrix());
-  ParallelFor(pipeline.grids_2d_.size(), [&](size_t idx) {
-    const Grid2D& g2 = pipeline.grids_2d_[idx];
-    pipeline.response_matrices_[idx] = post::ResponseMatrix::Build(
-        g2, pipeline.OneDimGrid(g2.attr_x()),
-        pipeline.OneDimGrid(g2.attr_y()),
-        pipeline.config_.response_matrix_options);
+}
+
+void FelipPipeline::BuildResponseMatrices() {
+  // Γ includes the 1-D grids under OHG. Pairs are independent, so build
+  // them in parallel; each matrix is a pure function of its grids.
+  obs::ScopedTimer span("felip_core_response_matrix");
+  response_matrices_.assign(grids_2d_.size(), post::ResponseMatrix());
+  ParallelFor(grids_2d_.size(), [&](size_t idx) {
+    const Grid2D& g2 = grids_2d_[idx];
+    response_matrices_[idx] = post::ResponseMatrix::Build(
+        g2, OneDimGrid(g2.attr_x()), OneDimGrid(g2.attr_y()),
+        config_.response_matrix_options);
   });
-  pipeline.state_ = PipelineState::kQueryable;
-  return pipeline;
+  state_ = PipelineState::kQueryable;
 }
 
 std::vector<std::vector<double>> FelipPipeline::ExportGridFrequencies()
@@ -440,7 +448,8 @@ void FelipPipeline::Finalize() {
   ExpectState(PipelineState::kSealed, "Finalize()");
 
   // Estimation + per-grid negativity removal.
-  const size_t n1 = grids_1d_.size();
+  std::vector<std::vector<double>> estimates;
+  estimates.reserve(assignments_.size());
   uint64_t cells_estimated = 0;
   {
     obs::ScopedTimer estimate_span("felip_core_estimate");
@@ -452,12 +461,9 @@ void FelipPipeline::Finalize() {
               .value();
       post::NormalizeFrequencies(&freq, config_.normalization);
       cells_estimated += freq.size();
-      if (!assignments_[g].is_2d) {
-        grids_1d_[g].SetFrequencies(std::move(freq));
-      } else {
-        grids_2d_[g - n1].SetFrequencies(std::move(freq));
-      }
+      estimates.push_back(std::move(freq));
     }
+    SetGridFrequencies(std::move(estimates));
   }
   oracles_.clear();  // reports are no longer needed
   obs::Registry::Default()
@@ -473,19 +479,7 @@ void FelipPipeline::Finalize() {
                           .normalization = config_.normalization});
   }
 
-  // Response matrices for every pair (Γ includes the 1-D grids under OHG).
-  // Pairs are independent, so build them in parallel.
-  {
-    obs::ScopedTimer rm_span("felip_core_response_matrix");
-    response_matrices_.assign(grids_2d_.size(), post::ResponseMatrix());
-    ParallelFor(grids_2d_.size(), [&](size_t idx) {
-      const Grid2D& g2 = grids_2d_[idx];
-      response_matrices_[idx] = post::ResponseMatrix::Build(
-          g2, OneDimGrid(g2.attr_x()), OneDimGrid(g2.attr_y()),
-          config_.response_matrix_options);
-    });
-  }
-  state_ = PipelineState::kQueryable;
+  BuildResponseMatrices();
 }
 
 size_t FelipPipeline::PairGridIndex(uint32_t i, uint32_t j) const {

@@ -216,9 +216,9 @@ class FelipPipeline {
                 FelipConfig config);
 
   // Reconstructs a finalized pipeline from previously estimated,
-  // post-processed grid frequencies (e.g. a loaded snapshot). The grids
-  // must match this configuration's planned layout; response matrices are
-  // rebuilt. Used by wire::LoadSnapshot.
+  // post-processed grid frequencies, stored verbatim. The grids must match
+  // this configuration's planned layout; response matrices are rebuilt
+  // exactly as Finalize builds them.
   static FelipPipeline FromEstimatedGrids(
       std::vector<data::AttributeInfo> schema, uint64_t num_users,
       FelipConfig config, std::vector<std::vector<double>> grid_frequencies);
@@ -352,6 +352,14 @@ class FelipPipeline {
 
   // Asserts the machine is in `expected` before an operation named `op`.
   void ExpectState(PipelineState expected, const char* op) const;
+  // Installs per-grid frequencies in assignment order (1-D grids first);
+  // sizes must match the planned layout.
+  void SetGridFrequencies(std::vector<std::vector<double>> grid_frequencies);
+  // Builds every pair's response matrix from the installed grids and
+  // enters kQueryable. The one response-matrix build: Finalize,
+  // FromEstimatedGrids and snapshot loads without persisted matrices all
+  // end here, so their matrices are bit-identical.
+  void BuildResponseMatrices();
   // Per-worker workspace of the query engine: the response-matrix
   // coverage buffers plus the per-query decomposition vectors, all reused
   // across every query a worker answers.

@@ -10,12 +10,41 @@ namespace felip::obs {
 
 namespace {
 
-// Per-thread stack of active span paths (innermost at the back). Heap
-// allocated so thread exit never races instrument teardown.
+// Per-thread stack of active span paths (innermost at the back). The
+// pointer and the flag are trivially destructible, so they stay readable
+// through thread and process teardown. StackReleaser frees the stack when
+// the thread's TLS is torn down; a span opened after that (say, a final
+// checkpoint run from a static destructor) gets a fresh stack, which
+// ReleaseLateStack frees again once its last span ends.
+thread_local std::vector<std::string>* t_stack = nullptr;
+thread_local bool t_stack_released = false;
+
+struct StackReleaser {
+  ~StackReleaser() {
+    delete t_stack;
+    t_stack = nullptr;
+    t_stack_released = true;
+  }
+};
+
 std::vector<std::string>& SpanStack() {
-  thread_local std::vector<std::string>* stack =
-      new std::vector<std::string>;
-  return *stack;
+  if (t_stack == nullptr) {
+    t_stack = new std::vector<std::string>;
+    if (!t_stack_released) {
+      // First use registers the releaser with this thread's TLS
+      // destructors.
+      thread_local StackReleaser releaser;
+      (void)releaser;
+    }
+  }
+  return *t_stack;
+}
+
+void ReleaseLateStack() {
+  if (t_stack_released && t_stack != nullptr && t_stack->empty()) {
+    delete t_stack;
+    t_stack = nullptr;
+  }
 }
 
 }  // namespace
@@ -40,6 +69,7 @@ ScopedTimer::~ScopedTimer() {
   FELIP_CHECK_MSG(!stack.empty() && stack.back() == path_,
                   "ScopedTimer spans must end in reverse creation order");
   stack.pop_back();
+  ReleaseLateStack();
   registry_->RecordSpan(path_, nanos);
   registry_->GetHistogram(name_ + "_seconds")
       .Observe(static_cast<double>(nanos) * 1e-9);

@@ -620,15 +620,7 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
         }
       }
 
-      const size_t n1 = pipeline.grids_1d_.size();
-      for (size_t g = 0; g < frequencies.size(); ++g) {
-        if (g < n1) {
-          pipeline.grids_1d_[g].SetFrequencies(std::move(frequencies[g]));
-        } else {
-          pipeline.grids_2d_[g - n1].SetFrequencies(
-              std::move(frequencies[g]));
-        }
-      }
+      pipeline.SetGridFrequencies(std::move(frequencies));
 
       const std::vector<uint8_t>* rm_section =
           reader.FindSection(SectionId::kResponseMatrices);
@@ -648,20 +640,12 @@ StatusOr<RecoveredPipeline> PipelineCodec::Decode(
           }
         }
         pipeline.response_matrices_ = std::move(matrices);
+        pipeline.state_ = PipelineState::kQueryable;
       } else {
         // Response matrices are derived state; rebuild them exactly like
         // Finalize() does.
-        pipeline.response_matrices_.assign(pipeline.grids_2d_.size(),
-                                           post::ResponseMatrix());
-        for (size_t i = 0; i < pipeline.grids_2d_.size(); ++i) {
-          const grid::Grid2D& g2 = pipeline.grids_2d_[i];
-          pipeline.response_matrices_[i] = post::ResponseMatrix::Build(
-              g2, pipeline.OneDimGrid(g2.attr_x()),
-              pipeline.OneDimGrid(g2.attr_y()),
-              pipeline.config_.response_matrix_options);
-        }
+        pipeline.BuildResponseMatrices();
       }
-      pipeline.state_ = PipelineState::kQueryable;
       pipeline.reports_ingested_ = reports_ingested;
       break;
     }

@@ -118,8 +118,8 @@ StatusOr<std::vector<double>> EpochSet::AnswerWindowed(
   const size_t first = epochs_.size() - span_epochs;
 
   // One batch-engine pass per epoch (oldest first), then the shared
-  // DecayMix fold per query — the exact arithmetic StreamingCollector
-  // performs, so the served answer is bit-identical to in-process.
+  // DecayMix fold per query, so the served answer is bit-identical to
+  // mixing per-epoch scalar answers in process.
   std::vector<std::vector<double>> per_epoch;
   per_epoch.reserve(span_epochs);
   for (size_t e = first; e < epochs_.size(); ++e) {

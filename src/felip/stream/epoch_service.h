@@ -1,16 +1,17 @@
-// Service-tier epoch rotation: the in-process streaming collector
-// (streaming.h), promoted to sealed on-disk segments and a concurrently
-// queryable window.
+// The epoch window of streaming FELIP (streaming.h), in process and in
+// the service tier with sealed on-disk segments.
 //
 // Division of labor:
 //
-//   * EpochSet — the in-memory window of sealed epochs. The transport IO
-//     thread answers sliding-window / decay-mixed query batches from it
+//   * EpochSet — the in-memory window of sealed epochs. In process, a
+//     caller finalizes each epoch's pipeline (config from EpochConfig) and
+//     appends it; in the service, the transport IO thread answers
+//     sliding-window / decay-mixed query batches from it
 //     (svc::QueryServer) while the rotation path appends freshly sealed
-//     epochs; one mutex serializes the two. Answers are computed with the
-//     exact same per-epoch batch engine (kExact path) and the shared
-//     DecayMix fold as StreamingCollector, so a served windowed answer is
-//     bit-identical to the in-process collector over the same arrivals.
+//     epochs; one mutex serializes the two. Answers are each epoch's batch
+//     engine (kExact path) folded by the shared DecayMix, so a served
+//     windowed answer is bit-identical to per-epoch pipelines mixed in
+//     process over the same arrivals.
 //
 //   * EpochRotationService — seals pipelines into the EpochStore and
 //     reloads the segment set on restart. SealEpoch runs on the ingest
@@ -85,12 +86,11 @@ class EpochSet {
 
   // Decay-weighted answers over the newest `window` retained epochs
   // (0 = every retained epoch; a window deeper than the retained history
-  // answers from what is retained). decay follows the StreamConfig
-  // contract: (0, 1], with 1.0 the exact sliding mean. One answer per
-  // query, each the DecayMix of that query's per-epoch answers — the
-  // bit-identical twin of StreamingCollector::AnswerQuery over the same
-  // arrivals. kFailedPrecondition before the first seal (retryable: the
-  // next seal satisfies it).
+  // answers from what is retained). decay must be in (0, 1] (checked),
+  // with 1.0 the exact sliding mean. One answer per query, each the
+  // DecayMix of that query's per-epoch AnswerQuery results, oldest first.
+  // kFailedPrecondition before the first seal (retryable: the next seal
+  // satisfies it).
   StatusOr<std::vector<double>> AnswerWindowed(
       std::span<const query::Query> queries, uint32_t window, double decay,
       const core::QueryBatchOptions& options = {}) const;

@@ -1,7 +1,7 @@
 // On-disk store for sealed epochs.
 //
-// The service-tier promotion of the in-process streaming collector
-// (streaming.h) seals each finished epoch's pipeline into one immutable
+// The service tier's durable epoch window (streaming.h, epoch_service.h)
+// seals each finished epoch's pipeline into one immutable
 // file, epoch-<seq>.felip. The file is a plain PipelineCodec snapshot
 // (felip/snapshot/pipeline_snapshot.h) of the finalized (kQueryable)
 // pipeline plus the batch dedup keys drained into that epoch, with one

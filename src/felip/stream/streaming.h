@@ -9,47 +9,32 @@
 //
 //   answer_t(q) = Σ_e decay^(t-e) · answer_e(q) / Σ_e decay^(t-e)
 //
-// keeping only the most recent `max_epochs` rounds, which bounds memory and
-// lets the estimate track drifting populations.
+// keeping only the most recent rounds, which bounds memory and lets the
+// estimate track drifting populations.
 //
-// The service-tier epoch layer (epoch_store.h / epoch_service.h) promotes
-// this in-process loop to sealed on-disk segments; both layers share
-// EpochConfig and DecayMix below so a served windowed answer is bit-identical
-// to the in-process collector over the same arrivals.
+// The epoch window itself is EpochSet (epoch_service.h): in process, seal
+// each epoch's finalized pipeline into it and answer with AnswerWindowed;
+// the service tier does the same behind EpochRotationService and on-disk
+// epoch files. Every layer derives per-epoch configs and mixes answers
+// through the two functions below, so served windowed answers are
+// bit-identical to in-process ones over the same arrivals.
 
 #ifndef FELIP_STREAM_STREAMING_H_
 #define FELIP_STREAM_STREAMING_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <span>
-#include <vector>
 
-#include "felip/common/status.h"
 #include "felip/core/felip.h"
-#include "felip/data/dataset.h"
-#include "felip/query/query.h"
 
 namespace felip::stream {
 
-struct StreamConfig {
-  core::FelipConfig felip;   // per-epoch collection configuration
-  double decay = 0.6;        // weight ratio between consecutive epochs, (0, 1]
-  uint32_t max_epochs = 8;   // history window (older epochs are dropped)
-  // Overrides felip.aggregation_threads for epoch ingestion when nonzero:
-  // a streaming deployment typically wants the epoch's sharded aggregation
-  // to use all cores even if the embedded FELIP config is tuned for
-  // offline runs. Estimates are identical for every setting.
-  unsigned aggregation_threads = 0;
-};
-
 // The per-epoch collection config for epoch `epoch_index` (0-based): the
 // base config with the seed decorrelated per epoch while keeping runs
-// reproducible. Every layer that replays an epoch round — the in-process
-// collector, the epoch rotation service, and the population simulator in
-// felip_client — must derive seeds through this one function, or served
-// answers stop being bit-identical to in-process ones.
+// reproducible. Every layer that replays an epoch round — the epoch
+// rotation service, in-process EpochSet users, and the population
+// simulator in felip_client — must derive seeds through this one
+// function, or served answers stop being bit-identical to in-process ones.
 core::FelipConfig EpochConfig(const core::FelipConfig& base,
                               uint64_t epoch_index);
 
@@ -62,37 +47,8 @@ core::FelipConfig EpochConfig(const core::FelipConfig& base,
 //
 // after which the newest epoch carries weight 1 and epoch t-k carries
 // decay^k exactly as documented above. Requires a nonempty span and
-// decay ∈ (0, 1] (callers validate; see StreamConfig).
+// decay ∈ (0, 1] (callers validate; EpochSet::AnswerWindowed checks it).
 double DecayMix(std::span<const double> answers_oldest_first, double decay);
-
-class StreamingCollector {
- public:
-  StreamingCollector(std::vector<data::AttributeInfo> schema,
-                     StreamConfig config);
-
-  // Runs one full FELIP round over this epoch's arrivals. The epoch's
-  // schema must match; each record is one (new) user.
-  void IngestEpoch(const data::Dataset& epoch);
-
-  // Decay-weighted estimate over the retained epochs. Fails with
-  // kFailedPrecondition before the first epoch is ingested (a retryable
-  // condition for a service — the next epoch seal satisfies it).
-  StatusOr<double> AnswerQuery(const query::Query& query) const;
-
-  // Estimate from the newest epoch only (no history smoothing). Same
-  // empty-history contract as AnswerQuery.
-  StatusOr<double> AnswerQueryLatest(const query::Query& query) const;
-
-  uint64_t epochs_ingested() const { return epochs_ingested_; }
-  size_t epochs_retained() const { return history_.size(); }
-
- private:
-  std::vector<data::AttributeInfo> schema_;
-  StreamConfig config_;
-  uint64_t epochs_ingested_ = 0;
-  // Newest epoch at the back.
-  std::deque<std::unique_ptr<core::FelipPipeline>> history_;
-};
 
 }  // namespace felip::stream
 

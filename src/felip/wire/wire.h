@@ -241,40 +241,6 @@ GridConfigMessage MakeGridConfig(const core::FelipPipeline& pipeline,
                                  uint32_t grid_index, double epsilon,
                                  const fo::ProtocolOptions& options);
 
-// --- Aggregator snapshots (legacy single-frame format) ---
-//
-// A snapshot persists a finalized pipeline's estimated grid frequencies
-// plus everything needed to re-plan the identical grid layout (schema,
-// population size, and the layout-affecting config fields). Response
-// matrices are derived state and are rebuilt on load. The file uses the
-// same checksummed envelope as the other wire messages.
-//
-// This format only captures a *queryable* pipeline and omits config
-// fields that do not affect layout (OLH pool options, lambda threshold).
-// The crash-safe sectioned format in felip/snapshot supersedes it for
-// full pipeline state (including mid-collection accumulators); these
-// entry points remain for published snapshot files and simple workflows.
-
-// Serializes `pipeline` (must be queryable). `schema` and `config` must be
-// the ones the pipeline was built with.
-std::vector<uint8_t> EncodeSnapshot(
-    const core::FelipPipeline& pipeline,
-    const std::vector<data::AttributeInfo>& schema, uint64_t num_users,
-    const core::FelipConfig& config);
-
-// Rebuilds a queryable pipeline from an encoded snapshot; kInvalidArgument
-// on any malformed input.
-StatusOr<core::FelipPipeline> DecodeSnapshot(
-    const std::vector<uint8_t>& buffer);
-
-// File convenience wrappers. SaveSnapshot returns kUnavailable on I/O
-// failure; LoadSnapshot returns kNotFound when the file cannot be opened.
-Status SaveSnapshot(const core::FelipPipeline& pipeline,
-                    const std::vector<data::AttributeInfo>& schema,
-                    uint64_t num_users, const core::FelipConfig& config,
-                    const std::string& path);
-StatusOr<core::FelipPipeline> LoadSnapshot(const std::string& path);
-
 }  // namespace felip::wire
 
 #endif  // FELIP_WIRE_WIRE_H_

@@ -1,5 +1,6 @@
 #include "felip/common/flags.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -89,6 +90,21 @@ TEST(FlagParserTest, GetStringListConsumes) {
   EXPECT_EQ(flags.UnconsumedFlags().size(), 1u);
   flags.GetStringList("dir");
   EXPECT_TRUE(flags.UnconsumedFlags().empty());
+}
+
+TEST(SplitCommaListTest, SplitsInOrder) {
+  EXPECT_EQ(SplitCommaList("a,b,c"),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(SplitCommaList("127.0.0.1:7071"),
+            (std::vector<std::string>{"127.0.0.1:7071"}));
+}
+
+TEST(SplitCommaListTest, DropsEmptySegmentsAndTrailingCommas) {
+  EXPECT_EQ(SplitCommaList("a,,b"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(SplitCommaList("a,b,"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(SplitCommaList(",a"), (std::vector<std::string>{"a"}));
+  EXPECT_TRUE(SplitCommaList("").empty());
+  EXPECT_TRUE(SplitCommaList(",,,").empty());
 }
 
 }  // namespace

@@ -23,8 +23,6 @@
 #include "felip/fo/olh.h"
 #include "felip/fo/oue.h"
 #include "felip/fo/square_wave.h"
-#include "felip/query/query.h"
-#include "felip/stream/streaming.h"
 
 namespace felip::fo {
 namespace {
@@ -230,27 +228,6 @@ TEST(ParallelAggregationTest, PipelineBitIdenticalAcrossAggregationThreads) {
     ASSERT_EQ(per_setting[s].size(), per_setting[0].size());
     for (size_t g = 0; g < per_setting[0].size(); ++g) {
       ExpectBitwiseEqual(per_setting[s][g], per_setting[0][g], "pipeline");
-    }
-  }
-}
-
-TEST(ParallelAggregationTest, StreamingOverrideKeepsAnswersIdentical) {
-  const data::Dataset epoch = data::MakeIpumsLike(8000, 3, 16, 4, 31);
-  const query::Query q(
-      {{.attr = 0, .op = query::Op::kBetween, .lo = 1, .hi = 3}});
-  double baseline = 0.0;
-  for (const unsigned threads : {0u, 1u, 8u}) {
-    stream::StreamConfig config;
-    config.felip.epsilon = 1.0;
-    config.felip.seed = 11;
-    config.aggregation_threads = threads;
-    stream::StreamingCollector collector(epoch.attributes(), config);
-    collector.IngestEpoch(epoch);
-    const double answer = collector.AnswerQuery(q).value();
-    if (threads == 0) {
-      baseline = answer;
-    } else {
-      EXPECT_EQ(answer, baseline) << "threads " << threads;
     }
   }
 }

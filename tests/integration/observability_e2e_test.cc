@@ -1,8 +1,11 @@
 // End-to-end observability acceptance: after a full pipeline run, a wire
-// round-trip, a streaming ingest, and an eval-harness run, the default
-// registry's RenderText exposition must contain counters and spans from
-// every instrumented subsystem (core, fo, wire, stream, eval).
+// round-trip, a snapshot round-trip, one sealed stream epoch, and an
+// eval-harness run, the default registry's RenderText exposition must
+// contain counters and spans from every instrumented subsystem (core, fo,
+// wire, snapshot, stream, eval).
 
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "felip/obs/metrics.h"
 #include "felip/query/generator.h"
 #include "felip/query/query.h"
+#include "felip/stream/epoch_service.h"
 #include "felip/stream/streaming.h"
 #include "felip/wire/wire.h"
 
@@ -40,16 +44,28 @@ TEST(ObservabilityE2eTest, EverySubsystemReportsToTheDefaultRegistry) {
       dataset, 4, {.dimension = 2, .selectivity = 0.5}, qrng);
   for (const query::Query& q : queries) pipeline.AnswerQuery(q);
 
-  // wire: snapshot round-trip.
-  const std::vector<uint8_t> snapshot = wire::EncodeSnapshot(
-      pipeline, dataset.attributes(), dataset.num_rows(), config);
-  ASSERT_TRUE(wire::DecodeSnapshot(snapshot).has_value());
+  // wire: query-batch round-trip.
+  ASSERT_TRUE(wire::DecodeQueryBatch(wire::EncodeQueryBatch(queries)).ok());
 
-  // stream: one epoch.
-  stream::StreamConfig stream_config;
-  stream_config.felip = config;
-  stream::StreamingCollector collector(dataset.attributes(), stream_config);
-  collector.IngestEpoch(dataset);
+  // snapshot: a finalized pipeline file round-trip.
+  const std::string snapshot_path =
+      ::testing::TempDir() + "/felip_observability.felip";
+  ASSERT_TRUE(pipeline.SaveSnapshot(snapshot_path).ok());
+  ASSERT_TRUE(core::FelipPipeline::LoadSnapshot(snapshot_path).ok());
+  std::remove(snapshot_path.c_str());
+
+  // stream: one sealed epoch, answered from the window.
+  stream::EpochSet epochs(4);
+  auto epoch = std::make_shared<core::FelipPipeline>(
+      dataset.attributes(), dataset.num_rows(),
+      stream::EpochConfig(config, 0));
+  epoch->Collect(dataset);
+  epoch->Finalize();
+  epochs.Append({.seq = 1,
+                 .reports = dataset.num_rows(),
+                 .epsilon = config.epsilon,
+                 .pipeline = std::move(epoch)});
+  ASSERT_TRUE(epochs.AnswerWindowed(queries, 0, 0.5).ok());
 
   // eval: one harness run with MAE/MSE gauges.
   std::vector<double> truths;
@@ -67,7 +83,10 @@ TEST(ObservabilityE2eTest, EverySubsystemReportsToTheDefaultRegistry) {
   EXPECT_GT(registry.CounterValue("felip_core_queries_total"), 0u);
   EXPECT_GT(registry.CounterValue("felip_wire_decode_bytes_total"), 0u);
   EXPECT_EQ(registry.CounterValue("felip_wire_malformed_total"), 0u);
-  EXPECT_EQ(registry.CounterValue("felip_stream_epochs_ingested_total"), 1u);
+  EXPECT_GT(registry.GaugeValue("felip_snapshot_bytes"), 0.0);
+  EXPECT_EQ(registry.GaugeValue("felip_epoch_segments_retained"), 1.0);
+  EXPECT_GT(registry.HistogramCount("felip_epoch_answer_windowed_seconds"),
+            0u);
   EXPECT_EQ(registry.CounterValue("felip_eval_runs_total"), 1u);
   EXPECT_GT(registry.HistogramCount("felip_eval_query_seconds"), 0u);
   // At least one FO server aggregated reports.
@@ -81,7 +100,8 @@ TEST(ObservabilityE2eTest, EverySubsystemReportsToTheDefaultRegistry) {
   const std::string text = registry.RenderText();
   for (const char* needle :
        {"felip_core_reports_total", "felip_core_collect_seconds",
-        "felip_wire_decode_bytes_total", "felip_stream_epochs_ingested_total",
+        "felip_wire_decode_bytes_total", "felip_snapshot_write_seconds",
+        "felip_epoch_segments_retained",
         "felip_eval_runs_total", "felip_span_count_total",
         "felip_core_collect/felip_core_flush"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << "missing " << needle;

@@ -107,6 +107,48 @@ TEST(ScopedTimerTest, SpanStacksAreThreadLocal) {
             static_cast<uint64_t>(kThreads) * 200);
 }
 
+// Every thread that opens a span gets its own span stack, which must be
+// freed when the thread exits: under LeakSanitizer, a stack that outlives
+// its short-lived thread is reported as a leak.
+TEST(ScopedTimerTest, ShortLivedThreadsReleaseTheirSpanStacks) {
+  Registry registry;
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&registry] {
+        ScopedTimer outer("short_lived", registry);
+        ScopedTimer inner("step", registry);
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  }
+  EXPECT_EQ(registry.SpanStatsFor("short_lived").count, 3u * kThreads);
+  EXPECT_EQ(registry.SpanStatsFor("short_lived/step").count, 3u * kThreads);
+}
+
+// Opens a span from its destructor. Constructed before the thread's first
+// span, so it is destroyed after the span stack was released.
+struct SpanAtThreadExit {
+  Registry* registry = nullptr;
+  ~SpanAtThreadExit() {
+    if (registry != nullptr) ScopedTimer span("at_thread_exit", *registry);
+  }
+};
+
+TEST(ScopedTimerTest, SpanOpenedDuringThreadTeardownIsSafe) {
+  Registry registry;
+  std::thread worker([&registry] {
+    thread_local SpanAtThreadExit at_exit;
+    at_exit.registry = &registry;
+    ScopedTimer span("before_exit", registry);
+  });
+  worker.join();
+  EXPECT_EQ(registry.SpanStatsFor("before_exit").count, 1u);
+  // A fresh top-level path: the released stack is not resurrected.
+  EXPECT_EQ(registry.SpanStatsFor("at_thread_exit").count, 1u);
+}
+
 #endif  // FELIP_OBS_NOOP
 
 }  // namespace

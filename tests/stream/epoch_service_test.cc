@@ -2,7 +2,7 @@
 // sliding-window answers from the sealed set, recovering the set (and the
 // dedup-key union) after a restart — and the differential acceptance
 // check: a windowed answer served from sealed segments is bit-identical
-// to the in-process StreamingCollector over the same arrivals.
+// to per-epoch in-process pipelines mixed over the same arrivals.
 
 #include "felip/stream/epoch_service.h"
 
@@ -137,9 +137,10 @@ TEST_F(EpochServiceTest, SealAppendsServesAndPersists) {
   EXPECT_EQ(loaded.epochs[0].dedup_keys, keys);
 }
 
-// The tentpole's acceptance arithmetic: answers served from the sealed
-// window must be bit-identical to StreamingCollector over the same
-// arrivals — same per-epoch batch engine, same DecayMix fold.
+// The acceptance arithmetic: answers served from the sealed window must
+// be bit-identical to an independent in-process reference over the same
+// arrivals — per-epoch Collect()-ed pipelines at the shared EpochConfig,
+// answered through the scalar AnswerQuery and folded by DecayMix.
 TEST_F(EpochServiceTest, WindowedAnswersMatchStreamingCollectorBitExact) {
   constexpr int kEpochs = 5;
   constexpr uint32_t kWindow = 3;
@@ -150,19 +151,21 @@ TEST_F(EpochServiceTest, WindowedAnswersMatchStreamingCollectorBitExact) {
     datasets.push_back(data::MakeUniform(3000, 2, 0, 32, 2, 1000 + e));
   }
 
-  StreamConfig stream_config;
-  stream_config.felip = BaseConfig();
-  stream_config.decay = kDecay;
-  stream_config.max_epochs = kWindow;
-  StreamingCollector collector(datasets[0].attributes(), stream_config);
-
   EpochStore store(dir(), kWindow);
   EpochSet epochs(kWindow);
   EpochRotationService service(&store, &epochs);
 
+  // The in-process reference keeps the newest kWindow epochs.
+  std::vector<std::unique_ptr<core::FelipPipeline>> reference;
   for (int e = 0; e < kEpochs; ++e) {
-    collector.IngestEpoch(datasets[e]);
     ASSERT_TRUE(service.SealEpoch(CollectEpoch(datasets[e], e), {}).ok());
+    if (e < kEpochs - static_cast<int>(kWindow)) continue;
+    auto pipeline = std::make_unique<core::FelipPipeline>(
+        datasets[e].attributes(), datasets[e].num_rows(),
+        EpochConfig(BaseConfig(), e));
+    pipeline->Collect(datasets[e]);
+    pipeline->Finalize();
+    reference.push_back(std::move(pipeline));
   }
   ASSERT_EQ(epochs.size(), kWindow);
 
@@ -172,15 +175,18 @@ TEST_F(EpochServiceTest, WindowedAnswersMatchStreamingCollectorBitExact) {
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   ASSERT_EQ(served->size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_DOUBLE_EQ((*served)[q], collector.AnswerQuery(queries[q]).value())
+    std::vector<double> history;  // oldest first
+    for (const auto& pipeline : reference) {
+      history.push_back(pipeline->AnswerQuery(queries[q]));
+    }
+    EXPECT_DOUBLE_EQ((*served)[q], DecayMix(history, kDecay))
         << "query " << q;
   }
-  // And the newest-only path matches the collector's latest answers.
+  // And the newest-only path matches the newest epoch's answers.
   const StatusOr<std::vector<double>> latest = epochs.AnswerLatest(queries);
   ASSERT_TRUE(latest.ok());
   for (size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_DOUBLE_EQ((*latest)[q],
-                     collector.AnswerQueryLatest(queries[q]).value())
+    EXPECT_DOUBLE_EQ((*latest)[q], reference.back()->AnswerQuery(queries[q]))
         << "query " << q;
   }
 }

@@ -1,7 +1,7 @@
 // The served epoch window: wire::WindowedQuery frames answered from a
 // stream::EpochSet through svc::QueryServer must be BIT-IDENTICAL to the
-// in-process window (which is itself bit-identical to StreamingCollector,
-// see tests/stream/epoch_service_test.cc). Before the first seal, both
+// in-process window (which is itself bit-identical to per-epoch
+// pipelines mixed by DecayMix, see tests/stream/epoch_service_test.cc). Before the first seal, both
 // windowed and plain queries answer the retryable kFailedPrecondition —
 // and succeed through the client's retry loop once a seal lands. Windowed
 // frames to a server without an epoch window are terminally invalid, and

@@ -87,19 +87,6 @@ void PrintUsage() {
       "1.0)\n");
 }
 
-std::vector<std::string> SplitEndpoints(const std::string& list) {
-  std::vector<std::string> endpoints;
-  size_t begin = 0;
-  while (begin <= list.size()) {
-    const size_t comma = list.find(',', begin);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > begin) endpoints.push_back(list.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return endpoints;
-}
-
 struct EpochRunParams {
   dist::ShardedIngestClient* client;
   svc::Transport* transport;
@@ -127,8 +114,8 @@ struct EpochRunParams {
 // epoch it belongs to (the bit-exactness precondition — a report that
 // slipped across a rotation boundary would move mass between epochs).
 // Each epoch derives its config through stream::EpochConfig and its
-// population from seed + epoch, matching what an in-process
-// StreamingCollector ingesting the same datasets would see.
+// population from seed + epoch, matching what an in-process EpochSet
+// sealing the same datasets would serve.
 int RunEpochs(const EpochRunParams& p) {
   svc::QueryClientOptions pace_options;
   pace_options.max_attempts = 64;
@@ -377,7 +364,7 @@ int main(int argc, char** argv) {
     for (const fo::ProtocolTraits& traits : fo::AllProtocolTraits()) {
       config.SetProtocolAllowed(traits.protocol, false);
     }
-    for (const std::string& name : SplitEndpoints(protocols)) {
+    for (const std::string& name : SplitCommaList(protocols)) {
       const StatusOr<fo::Protocol> p = fo::ProtocolFromName(name);
       if (!p.ok()) {
         std::fprintf(stderr, "error: unknown protocol in --protocols: %s\n",
@@ -388,7 +375,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::vector<std::string> endpoints = SplitEndpoints(endpoint);
+  const std::vector<std::string> endpoints = SplitCommaList(endpoint);
   if (endpoints.empty()) {
     std::fprintf(stderr, "error: --endpoint must name at least one server\n");
     return 2;

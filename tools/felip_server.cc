@@ -477,20 +477,6 @@ int RunEpochMode(const EpochModeParams& p, const data::Dataset& schema_source,
   return rc;
 }
 
-// Splits a comma-separated endpoint list.
-std::vector<std::string> SplitEndpoints(const std::string& list) {
-  std::vector<std::string> endpoints;
-  size_t start = 0;
-  while (start <= list.size()) {
-    const size_t comma = list.find(',', start);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) endpoints.push_back(list.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return endpoints;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -544,7 +530,7 @@ int main(int argc, char** argv) {
   const auto shard_id = static_cast<uint32_t>(flags.GetUint("shard-id", 0));
   const uint64_t accum_port = flags.GetUint("accum-port", 0);
   const std::vector<std::string> root_endpoints =
-      SplitEndpoints(flags.GetString("root", ""));
+      SplitCommaList(flags.GetString("root", ""));
 
   bool usage_error = false;
   for (const std::string& unknown : flags.UnconsumedFlags()) {
@@ -626,7 +612,7 @@ int main(int argc, char** argv) {
     for (const fo::ProtocolTraits& traits : fo::AllProtocolTraits()) {
       config.SetProtocolAllowed(traits.protocol, false);
     }
-    for (const std::string& name : SplitEndpoints(protocols)) {
+    for (const std::string& name : SplitCommaList(protocols)) {
       const StatusOr<fo::Protocol> p = fo::ProtocolFromName(name);
       if (!p.ok()) {
         std::fprintf(stderr, "error: unknown protocol in --protocols: %s\n",
